@@ -29,9 +29,10 @@ by leases:
   (standing in for V's kernel-resident membership service, at zero
   simulated cost) bumps the map version, drops the dead replica, and
   installs the new map into the survivors.  A restarted replica re-joins by
-  bulk-pulling a live peer's table (``SHARD_PULL``) *before* it is put back
-  in the map -- a rejoiner that claimed ownership with an empty table would
-  answer authoritative NOT_FOUNDs for names it merely has not learned yet.
+  pulling a live peer's table page by page (``SHARD_PULL``) *before* it is
+  put back in the map -- a rejoiner that claimed ownership with an empty
+  table would answer authoritative NOT_FOUNDs for names it merely has not
+  learned yet.
 - :class:`ShardResolver` -- the per-host resolver daemon.  It duck-types
   the :class:`~repro.core.namecache.NameCache` contract used by
   :func:`repro.core.resolver.send_csname_request` and layers three things
@@ -49,12 +50,14 @@ redirects, which is what the E18 storm scenario measures.
 
 from __future__ import annotations
 
-import bisect
 import json
-import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Generator, Optional
+from zlib import crc32
 
 from repro.core.context import ContextPair, WellKnownContext
 from repro.core.mapping import ForwardName, MappingFault
@@ -69,10 +72,12 @@ from repro.core.namecache import (
 from repro.core.names import BadName, as_text, has_prefix, parse_prefix, validate_component
 from repro.core.prefix_server import ContextPrefixServer, PrefixBinding, _as_prefix
 from repro.core.protocol import CSNameHeader, read_binding_provenance
+from repro.kernel.config import DEFAULT_CONFIG
 from repro.kernel.ipc import Delivery, GetPid, Now, Send
 from repro.kernel.messages import Message, ReplyCode, RequestCode
 from repro.kernel.pids import Pid
 from repro.kernel.services import Scope, ServiceId
+from repro.net.latency import STANDARD_3MBIT
 
 Gen = Generator[Any, Any, Any]
 
@@ -80,6 +85,22 @@ Gen = Generator[Any, Any, Any]
 #: (E18 measures the max/min owned-prefix ratio); the count is part of the
 #: map and travels with it, so every party builds the identical ring.
 DEFAULT_VNODES = 16
+
+#: Bound on one ``SHARD_PULL`` page's segment, in bytes.  The puller's
+#: kernel fails a Send whose reply has not come back within its probe
+#: budget, ``probe_interval x (max_failed_probes + 1)`` = 0.4 s, and
+#: re-sends the request after ``retransmit_initial`` = 25 ms (1/16 of it),
+#: which makes the peer replay a reply already on the wire.  A page gets
+#: 1/32 of the budget on the 3 Mb/s wire -- 12.5 ms, 4687 bytes, ~150
+#: records -- so it lands before the first retransmission.  A whole 10^4
+#: prefix table in one segment would need seconds and never arrive.
+PULL_PAGE_BYTES = int(
+    DEFAULT_CONFIG.probe_interval * (DEFAULT_CONFIG.max_failed_probes + 1)
+    / 32 * STANDARD_3MBIT.bandwidth_bps / 8)
+
+#: Pulled leases travel as whole microseconds, rounded down: a rejoin may
+#: shorten a lease by under a microsecond, never lengthen one.
+_LEASE_UNITS_PER_S = 1_000_000
 
 
 # ----------------------------------------------------------------- the map
@@ -106,24 +127,24 @@ class ShardMap:
 
     @cached_property
     def _ring(self) -> tuple:
-        points = []
-        for replica_id, __ in self.replicas:
-            for vnode in range(self.vnodes):
-                point = zlib.crc32(b"replica-%d/%d" % (replica_id, vnode))
-                points.append((point, replica_id))
-        points.sort()
-        return tuple(points)
+        """``(points, owners)``: sorted ring points and, at the same index,
+        the replica id each point belongs to (ties broken by replica id).
+        ``owners`` repeats its first entry at the end, so the index
+        ``bisect_right`` gives past the last point wraps to the first."""
+        ring = sorted((crc32(b"replica-%d/%d" % (replica_id, vnode)),
+                       replica_id)
+                      for replica_id, __ in self.replicas
+                      for vnode in range(self.vnodes))
+        owners = tuple(replica_id for __, replica_id in ring)
+        return tuple(point for point, __ in ring), owners + owners[:1]
 
     def owner_of(self, prefix: bytes) -> int:
         """The replica id owning ``prefix`` (first ring point clockwise)."""
-        ring = self._ring
-        if not ring:
+        points, owners = self._ring
+        if not points:
             raise ValueError("empty shard map has no owners")
-        point = zlib.crc32(bytes(prefix))
-        index = bisect.bisect_right(ring, (point, 1 << 62))
-        if index == len(ring):
-            index = 0
-        return ring[index][1]
+        return owners[bisect_right(points, crc32(
+            prefix if type(prefix) is bytes else bytes(prefix)))]
 
     def replicas_for(self, prefix: bytes) -> list:
         """Distinct replica ids in ring order starting at the owner.
@@ -133,16 +154,18 @@ class ShardMap:
         consistent hashing promotes, so client and cluster agree on the
         successor without talking.
         """
-        ring = self._ring
-        if not ring:
+        points, owners = self._ring
+        if not points:
             return []
-        point = zlib.crc32(bytes(prefix))
-        index = bisect.bisect_right(ring, (point, 1 << 62))
+        index = bisect_right(points, crc32(
+            prefix if type(prefix) is bytes else bytes(prefix)))
         order: list = []
-        for offset in range(len(ring)):
-            replica_id = ring[(index + offset) % len(ring)][1]
+        for offset in range(len(points)):
+            replica_id = owners[(index + offset) % len(points)]
             if replica_id not in order:
                 order.append(replica_id)
+                if len(order) == len(self.replicas):
+                    break
         return order
 
     def pid_of(self, replica_id: int) -> Optional[Pid]:
@@ -239,6 +262,16 @@ class ShardReplicaServer(ContextPrefixServer):
         self._leases: dict = {}
         #: Prefixes with an async refresh already in flight (dedup).
         self._refreshing: set = set()
+        #: Pids of replicas pulling their table to rejoin.  The cluster
+        #: installs it with the map; binding changes fan out to them too.
+        self.joiners: tuple = ()
+        #: While this replica pulls its own table: the prefixes a SYNC or
+        #: INVALIDATE notice reached since the pull began.  A notice is at
+        #: least as new as any page, so pages skip these.  None otherwise.
+        self._noticed: Optional[set] = None
+        #: ``(puller pid, sorted keys)``: the table order the current pull
+        #: pages through, taken at its first page and kept until its last.
+        self._pull_order: Optional[tuple] = None
         # Deterministic counters the storm and E18 read off the object.
         self.lease_refusals = 0
         self.lease_refreshes = 0
@@ -414,12 +447,20 @@ class ShardReplicaServer(ContextPrefixServer):
 
     def _fan_out(self, code: int, key: bytes,
                  binding: Optional[PrefixBinding]) -> None:
-        """Notify every peer of a binding change, via a helper process."""
+        """Notify every peer of a binding change, via a helper process.
+
+        Replicas pulling their table to rejoin are notified last, after
+        every member: any page a peer builds after applying the change
+        already carries it, and the joiner's own copy of the notice
+        outranks the pages built before (see :meth:`install_page`).  The
+        joiner list is read when the members are done, not now, so a
+        replica that restarts while a fan-out is in flight still hears it.
+        """
         if self.host is None or self.host.crashed:
             return
         peers = [Pid(pv) for rid, pv in self.shard_map.replicas
                  if rid != self.replica_id]
-        if not peers:
+        if not peers and not self.joiners:
             return
         self.host.spawn(self._fan_out_task(code, key, binding, peers),
                         name=f"shard-fanout-{as_text(key)}")
@@ -429,9 +470,8 @@ class ShardReplicaServer(ContextPrefixServer):
         fields: dict = {"prefix": as_text(key), "lease": self.lease_ttl}
         if binding is not None:
             fields.update(binding_fields(binding))
-            # The binding's provenance rides as explicit notice fields (NOT
-            # inside binding_fields: that codec also feeds export_table's
-            # *charged* JSON segment, and epochs must stay wire-neutral).
+            # The binding's provenance rides as explicit notice fields,
+            # flat-charged like every field: epochs must stay wire-neutral.
             fields["epoch"] = int(binding.epoch)
             fields["source"] = int(binding.source)
         else:
@@ -439,13 +479,27 @@ class ShardReplicaServer(ContextPrefixServer):
             fields["epoch"] = int(self.tombstones.get(key, 0))
             fields["source"] = int(self.pid.value) if self.pid else 0
         probe = self._probe()
-        for peer in peers:
+        for peer in self._notice_targets(peers):
             if probe is not None:
                 probe.notice_sent(key, int(peer.value),
                                   self.host.domain.now)
             yield Send(peer, Message.request(code, **fields))
             # A dead peer times out after the probe budget; it will pull a
             # fresh table when it rejoins, so the notice owes it nothing.
+
+    def _notice_targets(self, peers: list) -> Generator[Pid, None, None]:
+        """``peers``, then whoever became a member or a joiner meanwhile.
+
+        The second part is read only once ``peers`` are done: a joiner
+        adopted while the notice went round the members may have pulled
+        pages built before they applied it, and must still hear it.
+        """
+        yield from peers
+        late = [Pid(pv) for rid, pv in self.shard_map.replicas
+                if rid != self.replica_id]
+        late += [Pid(pv) for pv in self.joiners]
+        yield from [pid for pid in late
+                    if pid not in peers and pid != self.pid]
 
     # --------------------------------------------------------- shard protocol
 
@@ -491,6 +545,8 @@ class ShardReplicaServer(ContextPrefixServer):
         self.table.bindings[key] = binding
         self._leases[key] = now + float(message.get("lease", self.lease_ttl))
         self.syncs_seen += 1
+        if self._noticed is not None:
+            self._noticed.add(key)
         probe = self._probe()
         if probe is not None:
             probe.notice_applied(key, int(self.pid.value) if self.pid else 0,
@@ -506,6 +562,8 @@ class ShardReplicaServer(ContextPrefixServer):
         existed = self.table.bindings.pop(key, None) is not None
         self._leases.pop(key, None)
         self.invalidations_seen += 1
+        if self._noticed is not None:
+            self._noticed.add(key)
         # Remember the deletion's epoch so an audit can tell "recently
         # unbound" from "never existed" at this replica too.
         notice_epoch = int(delivery.message.get("epoch", 0))
@@ -526,71 +584,130 @@ class ShardReplicaServer(ContextPrefixServer):
                                  shard_version=self.shard_map.version)
 
     def op_shard_pull(self, delivery: Delivery) -> Gen:
-        """Bulk table transfer for a rejoining replica.
+        """One page of the table for a rejoining replica.
+
+        The request's ``cursor`` field is the last prefix the puller holds
+        (absent on its first page); the reply carries the next page in
+        sorted order and ``done`` once the table is exhausted.  The sorted
+        key order is taken at a pull's first page and reused for the rest
+        of it.  Keys bound after that are missed here but reach the puller
+        as notices, because it is a fan-out target for the whole pull.
 
         Provenance stamps ride as a reply *field* (flat-charged), never in
-        the segment: growing the charged JSON payload would change the
+        the segment: growing the charged payload would change the
         transfer's simulated timing, and epochs are bookkeeping, not data.
         """
         now = yield Now()
-        epochs = {as_text(key): [int(binding.epoch), int(binding.source)]
-                  for key, binding in self.table.bindings.items()}
-        yield from self.reply_ok(delivery, segment=self.export_table(now),
+        cursor = delivery.message.get("cursor")
+        puller = int(delivery.sender.value)
+        if (cursor is None or self._pull_order is None
+                or self._pull_order[0] != puller):
+            self._pull_order = (puller, sorted(self.table.bindings))
+        keys = self._pull_order[1]
+        start = 0 if cursor is None else bisect_right(keys,
+                                                      str(cursor).encode())
+        segment, stamps, end = self.export_page(keys, start, now)
+        done = end == len(keys)
+        if done:
+            self._pull_order = None
+        yield from self.reply_ok(delivery, segment=segment,
                                  shard_version=self.shard_map.version,
-                                 epochs=epochs)
+                                 stamps=stamps, done=done)
 
     # ----------------------------------------------------------- bulk state
 
-    def export_table(self, now: float) -> bytes:
-        """The full table with per-entry remaining lease, JSON-encoded.
+    def export_page(self, keys: list, start: int,
+                    now: float) -> tuple[bytes, list, int]:
+        """Encode bindings from ``keys[start:]`` up to PULL_PAGE_BYTES.
 
-        Entries this replica *owns* export a full ``lease_ttl`` (we are the
-        authority; the puller holds them under a lease from us); entries we
-        merely hold under lease export only what remains of it -- a rejoin
-        must not launder a nearly-dead lease into a fresh one.
+        Returns the JSON segment, the ``(epoch, source)`` stamp of each
+        record, and the index of the first key not exported.  A record is
+        ``[prefix, generic, pid_or_service, context, lease_us]``.  Entries
+        this replica *owns* export a full ``lease_ttl`` (we are the
+        authority; the puller holds them under a lease from us); entries
+        we merely hold under lease export only what remains of it -- a
+        rejoin must not launder a nearly-dead lease into a fresh one.  A
+        page holds at least one record; keys unbound since the pull began
+        are skipped.
         """
-        records = []
-        for key in sorted(self.table.bindings):
-            binding = self.table.bindings[key]
-            if self.is_owner(key):
-                remaining = self.lease_ttl
-            else:
-                remaining = max(0.0, self._leases.get(key, 0.0) - now)
-            record = {"prefix": as_text(key), "lease_remaining": remaining}
-            record.update(binding_fields(binding))
-            records.append(record)
-        return json.dumps({"bindings": records}, sort_keys=True).encode()
+        bindings = self.table.bindings
+        leases = self._leases
+        is_owner = self.is_owner
+        full = int(self.lease_ttl * _LEASE_UNITS_PER_S)
+        records: list = []
+        stamps: list = []
+        size = 1
+        index = start
+        while index < len(keys):
+            key = keys[index]
+            binding = bindings.get(key)
+            if binding is not None:
+                if is_owner(key):
+                    lease = full
+                else:
+                    lease = int((leases.get(key, 0.0) - now)
+                                * _LEASE_UNITS_PER_S)
+                    if lease < 0:
+                        lease = 0
+                prefix = _json_string(key.decode("utf-8", "replace"))
+                fixed = binding.fixed
+                if fixed is None:
+                    record = (f"[{prefix},1,{int(binding.generic_service)},"
+                              f"{binding.generic_context},{lease}]")
+                else:
+                    record = (f"[{prefix},0,{fixed.server.value},"
+                              f"{fixed.context_id},{lease}]")
+                size += len(record) + 1
+                if size > PULL_PAGE_BYTES and records:
+                    break
+                records.append(record)
+                stamps.append((binding.epoch, binding.source))
+            index += 1
+        return ("[" + ",".join(records) + "]").encode(), stamps, index
 
-    def install_table(self, payload: bytes, now: float,
-                      epochs: Optional[dict] = None) -> int:
-        """Install a pulled table; returns how many bindings landed.
+    def begin_pull(self) -> None:
+        """Start noting notices: they outrank pages (see install_page)."""
+        self._noticed = set()
 
-        ``epochs`` is the PULL reply's sideband provenance map
-        (prefix text -> [epoch, source]); absent entries install as
+    def install_page(self, payload: bytes, now: float,
+                     stamps: Optional[list] = None) -> Optional[str]:
+        """Install one pulled page; returns its last prefix (the cursor).
+
+        ``stamps`` is the reply's sideband provenance list, one
+        ``(epoch, source)`` per record; without it entries install as
         (0, 0) -- unknown -- which the auditor treats as unverifiable
-        rather than incoherent.
+        rather than incoherent.  A prefix a SYNC or INVALIDATE notice
+        reached since :meth:`begin_pull` keeps what the notice left: the
+        page may have been built before the peer applied that change.
         """
-        doc = json.loads(payload)
-        installed = 0
-        for record in doc.get("bindings", []):
-            key = str(record["prefix"]).encode()
-            binding = ContextPrefixServer._binding_from_request(
-                key, Message.request(0, **{
-                    field: record[field] for field in
-                    ("service_id", "target_pid", "target_context")
-                    if field in record}))
-            if binding is None:
+        records = json.loads(payload)
+        noticed = self._noticed or ()
+        bindings = self.table.bindings
+        leases = self._leases
+        pairs: dict = {}    # (pid value, context) -> shared ContextPair
+        for (text, generic, target, context, lease), (epoch, source) in zip(
+                records, stamps or repeat((0, 0))):
+            key = text.encode()
+            if key in noticed:
                 continue
-            stamp = (epochs or {}).get(str(record["prefix"]))
-            if stamp:
-                binding.epoch = int(stamp[0])
-                binding.source = int(stamp[1])
-            self.table.bindings[key] = binding
-            remaining = float(record.get("lease_remaining", 0.0))
-            if remaining > 0:
-                self._leases[key] = now + remaining
-            installed += 1
-        return installed
+            if generic:
+                binding = PrefixBinding(name=key, generic_service=target,
+                                        generic_context=context,
+                                        epoch=epoch, source=source)
+            else:
+                pair = pairs.get((target, context))
+                if pair is None:
+                    pair = pairs[target, context] = ContextPair(Pid(target),
+                                                                context)
+                binding = PrefixBinding(name=key, fixed=pair, epoch=epoch,
+                                        source=source)
+            bindings[key] = binding
+            if lease > 0:
+                leases[key] = now + lease / _LEASE_UNITS_PER_S
+        return records[-1][0] if records else None
+
+    def end_pull(self) -> None:
+        self._noticed = None
 
     # ------------------------------------------------------------ inspection
 
@@ -619,14 +736,14 @@ class ShardReplicaServer(ContextPrefixServer):
         for key in sorted(self.table.bindings):
             binding = self.table.bindings[key]
             expiry = self._leases.get(key)
+            owner = self.is_owner(key)
             entries.append({
                 "prefix": as_text(key),
                 "epoch": int(binding.epoch),
                 "source": int(binding.source),
-                "is_owner": self.is_owner(key),
+                "is_owner": owner,
                 "lease_expiry": expiry,
-                "lease_fresh": (self.is_owner(key)
-                                or (expiry is not None and now < expiry)),
+                "lease_fresh": owner or (expiry is not None and now < expiry),
             })
         return entries
 
@@ -660,8 +777,14 @@ class ShardCluster:
         self.handles: dict = {}
         self.retired: list = []        # crashed server objects (accounting)
         self._rid_by_host: dict = {}
+        #: replica id -> pid value of each restarted replica still pulling
+        #: its table: not in the map yet, but a fan-out target.
+        self.joiners: dict = {}
         self.promotions = 0
         self.rejoins = 0
+        #: Restarted replicas left out of the map because every member
+        #: they tried to pull from failed.
+        self.rejoin_failures = 0
         self.map = ShardMap(version=0, replicas=(), vnodes=self.vnodes)
         replicas = []
         for replica_id, host in enumerate(hosts):
@@ -744,8 +867,11 @@ class ShardCluster:
     # ------------------------------------------------------------- membership
 
     def _install_map(self) -> None:
+        """Install the map and the joiner list into every live replica."""
+        joiners = tuple(self.joiners.values())
         for server in self.servers.values():
             server.shard_map = self.map
+            server.joiners = joiners
 
     def _on_host_crashed(self, host) -> None:
         replica_id = self._rid_by_host.get(host.host_id)
@@ -755,6 +881,8 @@ class ShardCluster:
         self.handles.pop(replica_id, None)
         if server is not None:
             self.retired.append(server)
+        if self.joiners.pop(replica_id, None) is not None:
+            self._install_map()
         if self.map.pid_of(replica_id) is None:
             return
         # Failover: drop the dead replica; every prefix it owned hashes to
@@ -770,27 +898,54 @@ class ShardCluster:
         replica_id = self._rid_by_host.get(host.host_id)
         if replica_id is None or replica_id in self.servers:
             return
-        peers = [(rid, pv) for rid, pv in self.map.replicas
-                 if rid != replica_id]
         spawned = self._spawn_replica(replica_id, host)
+        # A fan-out target from now on, so no binding change made while it
+        # pulls can miss it.
+        self.joiners[replica_id] = spawned.pid_value
+        spawned.server.begin_pull()
+        self._install_map()
         host.spawn(self._rejoin_task(replica_id, spawned.server,
-                                     spawned.pid_value, peers),
+                                     spawned.pid_value),
                    name=f"shard-rejoin-{replica_id}")
 
     def _rejoin_task(self, replica_id: int, server: ShardReplicaServer,
-                     pid_value: int, peers: list) -> Gen:
-        for __, peer_pid_value in peers:
-            reply = yield Send(Pid(peer_pid_value),
-                               Message.request(RequestCode.SHARD_PULL))
-            if reply.ok and reply.segment:
-                now = yield Now()
-                server.install_table(reply.segment, now,
-                                     epochs=reply.get("epochs"))
+                     pid_value: int) -> Gen:
+        """Pull the table page by page, then adopt the replica.
+
+        The pull asks one live member for pages in sorted order.  If that
+        member fails, it goes on from its cursor (the last prefix it got)
+        at the next member of the current map.  The replica is adopted
+        only after a pull completed, or when the map had no other member
+        to pull from: a rejoiner that claimed ownership over a partial
+        table would answer authoritative NOT_FOUNDs for names it merely
+        has not learned yet.  If every member it asked failed, it stays
+        out of the map.
+        """
+        cursor = None
+        failed: set = set()
+        done = False
+        while not done:
+            peers = [pv for rid, pv in self.map.replicas
+                     if rid != replica_id and pv not in failed]
+            if not peers:
                 break
-        # Adopt into the map only after the warm-up: a rejoined replica
-        # that claimed ownership over an empty table would answer
-        # authoritative NOT_FOUNDs for names it simply has not learned yet.
+            fields = {} if cursor is None else {"cursor": cursor}
+            reply = yield Send(Pid(peers[0]), Message.request(
+                RequestCode.SHARD_PULL, **fields))
+            if not reply.ok:
+                failed.add(peers[0])
+                continue
+            now = yield Now()
+            cursor = server.install_page(reply.segment, now,
+                                         reply.get("stamps")) or cursor
+            done = bool(reply.get("done"))
+        server.end_pull()
         if server.host is None or server.host.crashed:
+            return
+        self.joiners.pop(replica_id, None)
+        if failed and not done:
+            self.rejoin_failures += 1
+            self._install_map()
             return
         self.map = self.map.with_replica(replica_id, pid_value)
         self.rejoins += 1
@@ -811,6 +966,7 @@ class ShardCluster:
             "live": self.live_replicas(),
             "promotions": self.promotions,
             "rejoins": self.rejoins,
+            "rejoin_failures": self.rejoin_failures,
             "replicas": [server.snapshot_shard()
                          for server in self.all_servers()],
         }

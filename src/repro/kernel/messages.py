@@ -97,7 +97,7 @@ class RequestCode(enum.IntEnum):
     SHARD_SYNC = 0x0482        # owner -> replica: install a leased binding
     SHARD_INVALIDATE = 0x0483  # owner -> replica: drop a binding
     SHARD_MAP = 0x0484         # fetch the current versioned shard map
-    SHARD_PULL = 0x0485        # rejoining replica <- peer: bulk table transfer
+    SHARD_PULL = 0x0485        # rejoining replica <- peer: one table page
 
 
 class ReplyCode(enum.IntEnum):

@@ -90,6 +90,9 @@ class AsyncHost:
         #: move txn -> future.
         self._move_waiters: dict[int, asyncio.Future] = {}
         self._tasks: set[asyncio.Task] = set()
+        #: Datagrams dropped because they did not decode.  No drop may go
+        #: uncounted; a sender still sees only a timeout.
+        self.decode_errors = 0
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
@@ -371,6 +374,9 @@ class AsyncHost:
         try:
             packet = decode_packet(data)
         except Exception:
+            # Broad on purpose: decode is not yet total over arbitrary
+            # bytes, and one bad datagram must not kill the endpoint.
+            self.decode_errors += 1
             return
         handler = {
             PacketKind.REQUEST: self._on_request,

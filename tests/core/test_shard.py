@@ -1,13 +1,22 @@
 """Tests for sharded replicated prefix serving (repro.core.shard)."""
 
+import json
+
 import pytest
 
 from repro.core.context import ContextPair, WellKnownContext
 from repro.core.resolver import NameError_
-from repro.core.shard import DEFAULT_VNODES, ShardCluster, ShardMap
+from repro.core.shard import (
+    DEFAULT_VNODES,
+    PULL_PAGE_BYTES,
+    ShardCluster,
+    ShardMap,
+    ShardReplicaServer,
+)
+from repro.faults.partition import partition_between
 from repro.kernel.domain import Domain
 from repro.kernel.ipc import Delay
-from repro.kernel.messages import ReplyCode
+from repro.kernel.messages import PacketKind, ReplyCode
 from repro.runtime import files
 from repro.runtime.session import Session
 from repro.servers import VFileServer, start_server
@@ -363,6 +372,205 @@ class TestFailoverAndRejoin:
         assert rejoined.binding("data") is not None
         assert rejoined.shard_map.version == cluster.map.version
         assert cluster.map.pid_of(owner_rid) == rejoined.pid
+
+
+# ------------------------------------------------ paged rejoin at 10^4
+
+
+BIG = 10_000
+OTHER_PAYLOAD = b"rebound-payload"
+#: Replica 1 crashes at CRASH_AT and restarts at RESTART_AT; it pulls from
+#: the lowest live member, replica 0, unless that one fails.
+JOINER = 1
+CRASH_AT, RESTART_AT = 0.2, 0.4
+
+
+def big_cluster():
+    """4 replicas over BIG prefixes bound to file server 0; file server 1
+    holds the same file with OTHER_PAYLOAD, the target of rebinds."""
+    domain = Domain(seed=5)
+    pairs = []
+    for number, payload in enumerate((PAYLOAD, OTHER_PAYLOAD)):
+        fileserver = VFileServer(user="mann")
+        fileserver.store.make_path("data/f0.dat",
+                                   directory=False).data[:] = payload
+        handle = start_server(domain.create_host(f"fs{number}"), fileserver)
+        pairs.append(ContextPair(handle.pid, int(WellKnownContext.DEFAULT)))
+    hosts = domain.create_hosts(4, prefix="ns")
+    cluster = ShardCluster(domain, hosts, lease_ttl=0.5)
+    for index in range(BIG):
+        cluster.seed_binding(f"p{index}", pairs[0])
+    joiner_host = cluster.servers[JOINER].host
+    domain.engine.schedule_at(CRASH_AT, joiner_host.crash)
+    domain.engine.schedule_at(RESTART_AT, joiner_host.restart)
+    return domain, cluster, pairs, hosts
+
+
+def joiner_owned(cluster):
+    """The seeded prefixes the joiner owns once it is back in the map."""
+    return sorted(b"p%d" % index for index in range(BIG)
+                  if cluster.map.owner_of(b"p%d" % index) == JOINER)
+
+
+@pytest.fixture
+def pages(monkeypatch):
+    """Every exported page: (exporter id, first key index, end index,
+    segment bytes, simulated time)."""
+    seen = []
+    export_page = ShardReplicaServer.export_page
+
+    def recording(self, keys, start, now):
+        segment, stamps, end = export_page(self, keys, start, now)
+        seen.append((self.replica_id, start, end, len(segment), now))
+        return segment, stamps, end
+
+    monkeypatch.setattr(ShardReplicaServer, "export_page", recording)
+    return seen
+
+
+class TestPagedRejoin:
+    def test_rejoiner_resolves_every_name_it_owns(self):
+        domain, cluster, pairs, __ = big_cluster()
+        domain.run()
+        domain.check_healthy()
+        assert cluster.rejoins == 1 and cluster.joiners == {}
+        rejoined = cluster.servers[JOINER]
+        assert len(rejoined.table.bindings) == BIG
+        owned = joiner_owned(cluster)
+        assert len(owned) > BIG // 8
+        session = session_for(domain, pairs[0], rejoined.pid)
+
+        def client(session):
+            wrong = []
+            for prefix in owned:
+                name = f"[{prefix.decode()}]data/f0.dat"
+                if (yield from files.read_file(session, name)) != PAYLOAD:
+                    wrong.append(name)
+            return wrong
+
+        assert run_on(domain, domain.create_host("client"),
+                      client(session)) == []
+
+    def test_every_page_stays_within_the_bound(self, pages):
+        domain, cluster, __, __ = big_cluster()
+        domain.run()
+        assert cluster.rejoins == 1
+        assert len(pages) > 10
+        assert all(size <= PULL_PAGE_BYTES for *__, size, __ in pages)
+        # One peer, consecutive pages, the whole table exactly once.
+        assert {exporter for exporter, *__ in pages} == {0}
+        assert [start for __, start, *___ in pages] == \
+            [0] + [end for __, __, end, *___ in pages[:-1]]
+        assert pages[-1][2] == BIG
+
+    @pytest.mark.parametrize("failure", ["crash", "cut-off"])
+    def test_a_peer_failing_mid_pull_resumes_at_the_cursor(self, pages,
+                                                            failure):
+        # A crash drops the peer from the map; a cut-off peer stays in the
+        # map and the joiner's Send to it times out.
+        domain, cluster, __, hosts = big_cluster()
+        if failure == "crash":
+            domain.engine.schedule_at(RESTART_AT + 0.3, hosts[0].crash)
+        else:
+            domain.engine.schedule_at(RESTART_AT + 0.3, partition_between,
+                                      domain, [hosts[0].host_id],
+                                      [hosts[JOINER].host_id])
+        domain.run()
+        domain.check_healthy()
+        first = [page for page in pages if page[0] == 0]
+        second = [page for page in pages if page[0] != 0]
+        assert first and second
+        assert {exporter for exporter, *__ in second} == {2}
+        # The next peer starts where the dead one's pages ended, not at 0.
+        assert 0 < second[0][1] <= first[-1][2]
+        assert second[-1][2] == BIG
+        assert cluster.rejoins == 1
+        assert len(cluster.servers[JOINER].table.bindings) == BIG
+
+    def test_no_peer_answering_leaves_the_replica_out(self):
+        domain, cluster, __, hosts = big_cluster()
+        joiner_host = hosts[JOINER]
+        domain.engine.schedule_at(RESTART_AT, partition_between, domain,
+                                  [joiner_host.host_id],
+                                  [host.host_id for host in hosts
+                                   if host is not joiner_host])
+        domain.run()
+        domain.check_healthy()
+        assert cluster.rejoins == 0
+        assert cluster.rejoin_failures == 1
+        assert cluster.map.pid_of(JOINER) is None
+        assert cluster.joiners == {}
+        assert sorted(rid for rid, __ in cluster.map.replicas) == [0, 2, 3]
+
+    def test_mutations_mid_pull_reach_the_joiner(self, pages):
+        domain, cluster, pairs, __ = big_cluster()
+        owned = joiner_owned(cluster)
+        # The first owned key is exported before the mutations (its page
+        # is stale when they land); the last one after them.
+        early, late, gone = owned[0], owned[-1], owned[1]
+        mutate_at = RESTART_AT + 0.3
+        session = session_for(domain, pairs[0], cluster.primary_pid())
+
+        def mutator(session):
+            yield Delay(mutate_at)
+            for prefix in (early, late):
+                yield from session.add_prefix(prefix.decode(), pairs[1],
+                                              replace=True)
+            yield from session.delete_prefix(gone.decode())
+
+        run_on(domain, domain.create_host("mutator"), mutator(session))
+        assert pages[0][4] < mutate_at < pages[-1][4]
+        assert cluster.rejoins == 1
+        rejoined = cluster.servers[JOINER]
+        assert rejoined.binding(early).fixed == pairs[1]
+        assert rejoined.binding(late).fixed == pairs[1]
+        assert rejoined.binding(gone) is None
+        reader = session_for(domain, pairs[0], rejoined.pid)
+
+        def client(session):
+            return (yield from files.read_file(
+                session, f"[{early.decode()}]data/f0.dat"))
+
+        assert run_on(domain, domain.create_host("reader"),
+                      client(reader)) == OTHER_PAYLOAD
+
+    def test_a_notice_outranks_a_page_built_before_it(self):
+        # The page the source sends at MUTATE_AT is lost on the wire until
+        # the joiner has applied a rebind of one of its keys; the source's
+        # kernel then replays the page it built before the rebind.
+        domain, cluster, pairs, hosts = big_cluster()
+        before = cluster.map
+        source, joiner_host = hosts[0].host_id, hosts[JOINER].host_id
+        lost = {}
+
+        def drop(frame, dst_host):
+            packet = frame.payload
+            if (frame.src_host != source or dst_host != joiner_host
+                    or packet.kind is not PacketKind.REPLY
+                    or domain.now < RESTART_AT + 0.3):
+                return False
+            if "keys" not in lost:
+                lost["keys"] = [record[0].encode() for record in
+                                json.loads(packet.message.segment)]
+            return cluster.servers[JOINER].syncs_seen == 0
+
+        domain.ethernet.set_drop_predicate(drop)
+        session = session_for(domain, pairs[0], cluster.primary_pid())
+        rebound = {}
+
+        def mutator(session):
+            while "keys" not in lost:
+                yield Delay(0.001)
+            rebound["key"] = next(key for key in lost["keys"]
+                                  if before.owner_of(key) == JOINER)
+            yield from session.add_prefix(rebound["key"].decode(), pairs[1],
+                                          replace=True)
+
+        run_on(domain, domain.create_host("mutator"), mutator(session))
+        assert cluster.rejoins == 1
+        rejoined = cluster.servers[JOINER]
+        assert len(rejoined.table.bindings) == BIG
+        assert rejoined.binding(rebound["key"]).fixed == pairs[1]
 
 
 # ------------------------------------------- negative-cache reconciliation

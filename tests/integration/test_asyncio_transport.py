@@ -177,6 +177,34 @@ class TestFileServiceOverUdp:
         assert stanford.mailboxes["cheriton"].messages[0].body == b"sockets!"
 
 
+class TestUndecodableDatagrams:
+    def test_garbage_is_counted_and_the_endpoint_keeps_serving(self):
+        async def scenario():
+            import socket
+
+            domain, ws, fs_host, *__, session = await base_system()
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.sendto(b"\xffnot a V packet", fs_host.address)
+                for __ in range(100):
+                    await asyncio.sleep(0.01)
+                    if fs_host.decode_errors:
+                        break
+            errors = fs_host.decode_errors
+
+            def client():
+                yield from files.write_file(session, "after.txt", b"still up")
+                return (yield from files.read_file(session, "after.txt"))
+
+            result = await run_client(domain, ws, client())
+            await domain.shutdown()
+            return errors, result, fs_host.decode_errors
+
+        errors, result, after = run_async(scenario())
+        assert errors == 1
+        assert result == b"still up"
+        assert after == 1
+
+
 class TestAsyncExtras:
     def test_group_send_over_udp(self):
         """GroupSend fans out as datagrams; first reply wins."""
